@@ -763,22 +763,27 @@ impl EvalEngine {
         if !self.config.caching {
             return self.evaluator.accuracy_for_task(task_index, arch);
         }
-        let key: AccuracyKey = (task_index, arch.name.clone(), arch.hyperparameters.clone());
-        if let Some(&cached) = self
-            .accuracy_cache
-            .read()
-            .expect("accuracy cache lock")
-            .get(&key)
-        {
-            self.accuracy_hits.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
+        let key = {
+            let _span = crate::metrics::maybe_time(crate::metrics::engine_lookup_wall);
+            let key: AccuracyKey = (task_index, arch.name.clone(), arch.hyperparameters.clone());
+            if let Some(&cached) = self
+                .accuracy_cache
+                .read()
+                .expect("accuracy cache lock")
+                .get(&key)
+            {
+                self.accuracy_hits.fetch_add(1, Ordering::Relaxed);
+                return cached;
+            }
+            key
+        };
         // Compute outside the lock; concurrent workers racing on the same
         // key all produce the identical pure value.  Only the worker whose
         // insert lands counts as the miss, so with an unbounded cache the
         // stats stay independent of thread scheduling (misses == distinct
         // keys; a bounded cache can re-miss evicted keys).
         let accuracy = self.evaluator.accuracy_for_task(task_index, arch);
+        let _span = crate::metrics::maybe_time(crate::metrics::engine_lookup_wall);
         if self
             .accuracy_cache
             .write()
@@ -807,19 +812,24 @@ impl EvalEngine {
         if !self.config.caching {
             return self.evaluator.hardware_metrics(architectures, accelerator);
         }
-        let key = self.hardware_key(architectures, accelerator);
-        if let Some(&cached) = self
-            .hardware_cache
-            .read()
-            .expect("hardware cache lock")
-            .get(&key)
-        {
-            self.hardware_hits.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
+        let key = {
+            let _span = crate::metrics::maybe_time(crate::metrics::engine_lookup_wall);
+            let key = self.hardware_key(architectures, accelerator);
+            if let Some(&cached) = self
+                .hardware_cache
+                .read()
+                .expect("hardware cache lock")
+                .get(&key)
+            {
+                self.hardware_hits.fetch_add(1, Ordering::Relaxed);
+                return cached;
+            }
+            key
+        };
         // See `accuracy_for_task`: racers compute the same pure value and
         // only the landing insert counts as the miss.
         let metrics = self.evaluator.hardware_metrics(architectures, accelerator);
+        let _span = crate::metrics::maybe_time(crate::metrics::engine_lookup_wall);
         if self
             .hardware_cache
             .write()
@@ -894,6 +904,7 @@ impl EvalEngine {
                 self.evaluate(candidate)
             });
         }
+        let lookup_span = crate::metrics::maybe_time(crate::metrics::engine_lookup_wall);
         let num_tasks = self.evaluator.workload().num_tasks();
         let mut slot_of: HashMap<BatchKey, usize> = HashMap::new();
         let mut uniques: Vec<&Candidate> = Vec::with_capacity(candidates.len());
@@ -923,7 +934,9 @@ impl EvalEngine {
             crate::metrics::eval_batch_size().record(candidates.len() as u64);
             crate::metrics::eval_dedup_saved().add((candidates.len() - uniques.len()) as u64);
         }
+        drop(lookup_span);
         let unique_results = self.map_uniques(&uniques, |candidate| self.evaluate(candidate));
+        let _span = crate::metrics::maybe_time(crate::metrics::engine_lookup_wall);
         fan_out
             .into_iter()
             .map(|slot| unique_results[slot].clone())
@@ -941,9 +954,12 @@ impl EvalEngine {
         uniques: &[&Candidate],
         eval: impl Fn(&Candidate) -> R + Sync,
     ) -> Vec<R> {
-        let misses: Vec<usize> = (0..uniques.len())
-            .filter(|&i| !self.hardware_cached(uniques[i]))
-            .collect();
+        let misses: Vec<usize> = {
+            let _span = crate::metrics::maybe_time(crate::metrics::engine_lookup_wall);
+            (0..uniques.len())
+                .filter(|&i| !self.hardware_cached(uniques[i]))
+                .collect()
+        };
         let mut results: Vec<Option<R>> = Vec::with_capacity(uniques.len());
         results.resize_with(uniques.len(), || None);
         if misses.len() > 1 {
@@ -981,6 +997,7 @@ impl EvalEngine {
                     .map(|c| self.evaluate_hardware(&c.architectures, &c.accelerator))
             });
         }
+        let lookup_span = crate::metrics::maybe_time(crate::metrics::engine_lookup_wall);
         let mut slot_of: HashMap<BatchKey, usize> = HashMap::new();
         let mut uniques: Vec<&Candidate> = Vec::with_capacity(candidates.len());
         // `None` fans out an undecodable slot; `Some(i)` the i-th unique.
@@ -1007,9 +1024,11 @@ impl EvalEngine {
             let decodable = fan_out.iter().filter(|slot| slot.is_some()).count();
             crate::metrics::eval_dedup_saved().add((decodable - uniques.len()) as u64);
         }
+        drop(lookup_span);
         let unique_results = self.map_uniques(&uniques, |candidate| {
             self.evaluate_hardware(&candidate.architectures, &candidate.accelerator)
         });
+        let _span = crate::metrics::maybe_time(crate::metrics::engine_lookup_wall);
         fan_out
             .into_iter()
             .map(|slot| slot.map(|i| unique_results[i]))

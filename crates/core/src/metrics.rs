@@ -7,10 +7,13 @@
 //!
 //! * cached handles for the hot-path wall-time histograms
 //!   ([`eval_accuracy_wall`], [`eval_cost_model_wall`],
-//!   [`eval_sched_solve_wall`], [`controller_wall`],
+//!   [`eval_sched_solve_wall`], [`controller_wall`] and its
+//!   [`controller_sample_wall`] / [`controller_feedback_wall`] split,
+//!   [`engine_lookup_wall`], the NASAIC glue spans [`search_decode_wall`],
+//!   [`search_reward_wall`], [`search_record_wall`],
 //!   [`checkpoint_encode_wall`], [`eval_candidate_wall`]) plus the
-//!   [`maybe_time`] helper that makes a disabled site cost one relaxed
-//!   load;
+//!   [`maybe_time`] and [`time_controller`] helpers that make a disabled
+//!   site cost one relaxed load;
 //! * [`MetricsObserver`] — a passive [`SearchObserver`] that translates
 //!   the existing event stream into per-phase wall time, episode counters
 //!   and an episodes/s gauge, so the six drivers are instrumented without
@@ -61,6 +64,47 @@ global_histogram!(
     "nasaic_controller_wall_ns"
 );
 global_histogram!(
+    /// Wall time of one controller sample
+    /// (`nasaic_controller_sample_wall_ns`), a child of
+    /// [`controller_wall`].
+    controller_sample_wall,
+    "nasaic_controller_sample_wall_ns"
+);
+global_histogram!(
+    /// Wall time of one controller feedback update
+    /// (`nasaic_controller_feedback_wall_ns`), a child of
+    /// [`controller_wall`].
+    controller_feedback_wall,
+    "nasaic_controller_feedback_wall_ns"
+);
+global_histogram!(
+    /// Wall time the engine spends on its own bookkeeping around the
+    /// evaluator — cache-key building, cache probes and inserts, batch
+    /// de-duplication and fan-back (`nasaic_engine_lookup_wall_ns`).
+    /// Never encloses an accuracy, cost-model or scheduler span.
+    engine_lookup_wall,
+    "nasaic_engine_lookup_wall_ns"
+);
+global_histogram!(
+    /// Wall time of decoding one NASAIC episode's controller samples into
+    /// candidates (`nasaic_search_decode_wall_ns`).
+    search_decode_wall,
+    "nasaic_search_decode_wall_ns"
+);
+global_histogram!(
+    /// Wall time of one NASAIC step's penalty and reward
+    /// (`nasaic_search_reward_wall_ns`).
+    search_reward_wall,
+    "nasaic_search_reward_wall_ns"
+);
+global_histogram!(
+    /// Wall time of NASAIC outcome bookkeeping: recording an explored
+    /// solution and dispatching events to the observer
+    /// (`nasaic_search_record_wall_ns`).
+    search_record_wall,
+    "nasaic_search_record_wall_ns"
+);
+global_histogram!(
     /// Wall time of building + persisting one checkpoint
     /// (`nasaic_checkpoint_encode_wall_ns`).
     checkpoint_encode_wall,
@@ -96,6 +140,34 @@ pub fn maybe_time(histogram: fn() -> &'static Arc<Histogram>) -> Option<TimerSpa
     } else {
         None
     }
+}
+
+/// A controller span: on drop, the elapsed wall is recorded once in
+/// [`controller_wall`] and once in the call kind's child histogram, so the
+/// children always sum exactly to the `controller` leaf.
+#[derive(Debug)]
+pub struct ControllerSpan {
+    child: &'static Arc<Histogram>,
+    start: Instant,
+}
+
+impl Drop for ControllerSpan {
+    fn drop(&mut self) {
+        let ns = self.start.elapsed().as_nanos() as u64;
+        controller_wall().record(ns);
+        self.child.record(ns);
+    }
+}
+
+/// Start a controller span split into `child`
+/// ([`controller_sample_wall`] or [`controller_feedback_wall`]) when
+/// telemetry is enabled; `None` otherwise.
+#[inline]
+pub fn time_controller(child: fn() -> &'static Arc<Histogram>) -> Option<ControllerSpan> {
+    telemetry::enabled().then(|| ControllerSpan {
+        child: child(),
+        start: Instant::now(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -245,24 +317,30 @@ pub struct ProfileComponent {
     pub wall_ms: f64,
     /// Spans recorded (0 for the synthetic `other` row).
     pub count: u64,
+    /// For a child row, the leaf it splits (`controller` for
+    /// `controller/sample`); `None` for leaves and `other`.  Child rows
+    /// are part of their parent's time, so coverage never counts them.
+    pub parent: Option<String>,
 }
 
 /// The hierarchical wall-time attribution `nasaic profile` prints: where
 /// a run's measured wall went, split by pipeline stage.
 ///
 /// Components are *leaf* spans (the accuracy oracle, cost-table assembly,
-/// HAP solve, controller, checkpoint encode), so they never double-count;
-/// `coverage` is their sum over the measured wall.  The profile runs
-/// single-threaded so attribution sums are comparable to wall clock.
+/// HAP solve, controller, engine lookups, NASAIC glue, checkpoint
+/// encode), so they never double-count; `coverage` is their sum over the
+/// measured wall.  A leaf may be split further by child rows (the
+/// controller's sample / feedback split), which carry a `parent` and stay
+/// out of the coverage sum.  The profile runs single-threaded so
+/// attribution sums are comparable to wall clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileBreakdown {
     /// Measured wall time of the profiled run, in milliseconds.
     pub wall_ms: f64,
-    /// Attributed components, largest first, plus a final `other` row for
-    /// the unattributed remainder.
+    /// Attributed leaf components, largest first, then the child rows,
+    /// then a final `other` row for the unattributed remainder.
     pub components: Vec<ProfileComponent>,
-    /// Fraction of the wall covered by attributed (non-`other`)
-    /// components.
+    /// Fraction of the wall covered by attributed leaf components.
     pub coverage: f64,
 }
 
@@ -271,23 +349,37 @@ impl ProfileBreakdown {
     /// registry's leaf spans.  Call with telemetry enabled and the
     /// registry reset immediately before the run.
     pub fn collect(wall_ms: f64) -> Self {
-        let leaves: [(&str, &Arc<Histogram>); 5] = [
+        let leaves: [(&str, &Arc<Histogram>); 9] = [
             ("evaluation/accuracy-proxy", eval_accuracy_wall()),
             ("evaluation/cost-model", eval_cost_model_wall()),
             ("evaluation/scheduler", eval_sched_solve_wall()),
             ("controller", controller_wall()),
+            ("engine/lookup", engine_lookup_wall()),
+            ("glue/decode", search_decode_wall()),
+            ("glue/reward", search_reward_wall()),
+            ("glue/record", search_record_wall()),
             ("checkpointing", checkpoint_encode_wall()),
         ];
+        let children: [(&str, &str, &Arc<Histogram>); 2] = [
+            ("controller/sample", "controller", controller_sample_wall()),
+            (
+                "controller/feedback",
+                "controller",
+                controller_feedback_wall(),
+            ),
+        ];
+        let component = |name: &str, parent: Option<&str>, histogram: &Arc<Histogram>| {
+            let snap = histogram.snapshot();
+            ProfileComponent {
+                name: name.to_string(),
+                wall_ms: snap.sum as f64 / 1e6,
+                count: snap.count,
+                parent: parent.map(str::to_string),
+            }
+        };
         let mut components: Vec<ProfileComponent> = leaves
             .iter()
-            .map(|(name, histogram)| {
-                let snap = histogram.snapshot();
-                ProfileComponent {
-                    name: (*name).to_string(),
-                    wall_ms: snap.sum as f64 / 1e6,
-                    count: snap.count,
-                }
-            })
+            .map(|(name, histogram)| component(name, None, histogram))
             .collect();
         components.sort_by(|a, b| b.wall_ms.total_cmp(&a.wall_ms));
         let attributed: f64 = components.iter().map(|c| c.wall_ms).sum();
@@ -296,10 +388,16 @@ impl ProfileBreakdown {
         } else {
             0.0
         };
+        components.extend(
+            children
+                .iter()
+                .map(|(name, parent, histogram)| component(name, Some(parent), histogram)),
+        );
         components.push(ProfileComponent {
             name: "other".to_string(),
             wall_ms: (wall_ms - attributed).max(0.0),
             count: 0,
+            parent: None,
         });
         Self {
             wall_ms,
@@ -324,6 +422,9 @@ impl ProfileBreakdown {
                         entry.insert("name", ConfigValue::Str(c.name.clone()));
                         entry.insert("wall_ms", ConfigValue::Float(c.wall_ms));
                         entry.insert("spans", ConfigValue::Integer(c.count as i64));
+                        if let Some(parent) = &c.parent {
+                            entry.insert("parent", ConfigValue::Str(parent.clone()));
+                        }
                         entry
                     })
                     .collect(),
@@ -344,46 +445,53 @@ impl ProfileBreakdown {
                 0.0
             }
         };
-        // Group the `evaluation/…` leaves under one parent row.
-        let eval_ms: f64 = self
-            .components
-            .iter()
-            .filter(|c| c.name.starts_with("evaluation/"))
-            .map(|c| c.wall_ms)
-            .sum();
-        let _ = writeln!(
-            out,
-            "├─ evaluation {:.1} ms ({:.1}%)",
-            eval_ms,
-            pct(eval_ms)
-        );
-        for component in &self.components {
-            if let Some(leaf) = component.name.strip_prefix("evaluation/") {
-                let _ = writeln!(
-                    out,
-                    "│  ├─ {leaf} {:.1} ms ({:.1}%, {} spans)",
-                    component.wall_ms,
-                    pct(component.wall_ms),
-                    component.count
-                );
-            }
-        }
-        for component in &self.components {
-            if component.name.starts_with("evaluation/") {
-                continue;
-            }
-            let spans = if component.count > 0 {
-                format!(", {} spans", component.count)
+        let row = |out: &mut String, indent: &str, label: &str, c: &ProfileComponent| {
+            let spans = if c.count > 0 {
+                format!(", {} spans", c.count)
             } else {
                 String::new()
             };
             let _ = writeln!(
                 out,
-                "├─ {} {:.1} ms ({:.1}%{spans})",
-                component.name,
-                component.wall_ms,
-                pct(component.wall_ms)
+                "{indent}├─ {label} {:.1} ms ({:.1}%{spans})",
+                c.wall_ms,
+                pct(c.wall_ms)
             );
+        };
+        // Leaves named `group/leaf` print under one synthetic `group` row
+        // (placed where its largest leaf falls); a leaf's child rows print
+        // under the leaf itself.
+        let leaves = || self.components.iter().filter(|c| c.parent.is_none());
+        let mut groups_done: Vec<&str> = Vec::new();
+        for component in leaves() {
+            match component.name.split_once('/') {
+                Some((group, _)) => {
+                    if groups_done.contains(&group) {
+                        continue;
+                    }
+                    groups_done.push(group);
+                    let members: Vec<&ProfileComponent> = leaves()
+                        .filter(|c| c.name.split_once('/').map(|(g, _)| g) == Some(group))
+                        .collect();
+                    let group_ms: f64 = members.iter().map(|c| c.wall_ms).sum();
+                    let _ = writeln!(out, "├─ {group} {:.1} ms ({:.1}%)", group_ms, pct(group_ms));
+                    for member in members {
+                        let leaf = &member.name[group.len() + 1..];
+                        row(&mut out, "│  ", leaf, member);
+                    }
+                }
+                None => {
+                    row(&mut out, "", &component.name, component);
+                    for child in self
+                        .components
+                        .iter()
+                        .filter(|c| c.parent.as_deref() == Some(component.name.as_str()))
+                    {
+                        let label = child.name.rsplit('/').next().unwrap_or(&child.name);
+                        row(&mut out, "│  ", label, child);
+                    }
+                }
+            }
         }
         let _ = writeln!(out, "└─ coverage {:.1}%", 100.0 * self.coverage);
         out
@@ -428,37 +536,60 @@ mod tests {
     fn profile_breakdown_attributes_and_reports_coverage() {
         // Build directly from synthetic components to stay independent of
         // the global registry (other tests may run concurrently).
+        let leaf = |name: &str, wall_ms: f64, count: u64| ProfileComponent {
+            name: name.into(),
+            wall_ms,
+            count,
+            parent: None,
+        };
         let breakdown = ProfileBreakdown {
             wall_ms: 100.0,
             components: vec![
+                leaf("evaluation/scheduler", 60.0, 10),
+                leaf("controller", 30.0, 5),
+                leaf("glue/reward", 5.0, 3),
                 ProfileComponent {
-                    name: "evaluation/scheduler".into(),
-                    wall_ms: 60.0,
-                    count: 10,
+                    name: "controller/sample".into(),
+                    wall_ms: 10.0,
+                    count: 2,
+                    parent: Some("controller".into()),
                 },
                 ProfileComponent {
-                    name: "controller".into(),
-                    wall_ms: 35.0,
-                    count: 5,
+                    name: "controller/feedback".into(),
+                    wall_ms: 20.0,
+                    count: 3,
+                    parent: Some("controller".into()),
                 },
-                ProfileComponent {
-                    name: "other".into(),
-                    wall_ms: 5.0,
-                    count: 0,
-                },
+                leaf("other", 5.0, 0),
             ],
             coverage: 0.95,
         };
         let text = breakdown.render_text();
         assert!(text.contains("wall 100.0 ms"), "{text}");
-        assert!(text.contains("scheduler 60.0 ms (60.0%"), "{text}");
+        assert!(text.contains("├─ evaluation 60.0 ms (60.0%)"), "{text}");
+        assert!(text.contains("│  ├─ scheduler 60.0 ms (60.0%"), "{text}");
+        assert!(
+            text.contains("├─ controller 30.0 ms (30.0%, 5 spans)\n│  ├─ sample 10.0 ms"),
+            "{text}"
+        );
+        assert!(
+            text.contains("│  ├─ feedback 20.0 ms (20.0%, 3 spans)"),
+            "{text}"
+        );
+        assert!(
+            text.contains("├─ glue 5.0 ms (5.0%)\n│  ├─ reward"),
+            "{text}"
+        );
         assert!(text.contains("coverage 95.0%"), "{text}");
         let value = breakdown.to_value();
         assert_eq!(value.get("coverage").unwrap().as_float(), Some(0.95));
+        let components = value.get("components").unwrap().as_array().unwrap();
+        assert_eq!(components.len(), 6);
         assert_eq!(
-            value.get("components").unwrap().as_array().unwrap().len(),
-            3
+            components[3].get("parent").and_then(ConfigValue::as_str),
+            Some("controller")
         );
+        assert!(components[1].get("parent").is_none());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::checkpoint::{self, CheckpointSink, NullCheckpointSink, SearchCheckpoi
 use crate::engine::EvalEngine;
 use crate::evaluator::{AccuracyOracle, Evaluator};
 use crate::log::{ExploredSolution, SearchOutcome};
+use crate::metrics;
 use crate::penalty::Penalty;
 use crate::reward::Reward;
 use crate::scenario::value::ConfigValue;
@@ -433,7 +434,7 @@ impl Nasaic {
         for episode in start_episode..config.episodes {
             // Step 1: joint architecture + hardware prediction.
             let joint_sample = {
-                let _span = crate::metrics::maybe_time(crate::metrics::controller_wall);
+                let _span = metrics::time_controller(metrics::controller_sample_wall);
                 controller.sample(&mut rng)
             };
             // Steps 2..: hardware-only predictions for the same architectures.
@@ -441,7 +442,7 @@ impl Nasaic {
             let mut episode_samples: Vec<ControllerSample> = vec![joint_sample.clone()];
             for _ in 1..plan.len() {
                 let mut hw_sample = {
-                    let _span = crate::metrics::maybe_time(crate::metrics::controller_wall);
+                    let _span = metrics::time_controller(metrics::controller_sample_wall);
                     controller.sample(&mut rng)
                 };
                 // Architecture switch open: reuse the joint step's
@@ -458,18 +459,19 @@ impl Nasaic {
             }
 
             // Decode and evaluate the hardware of every step.
-            let mut candidates = Vec::with_capacity(episode_samples.len());
-            for sample in &episode_samples {
-                match Self::decode_candidate(workload, hardware, config, sample) {
-                    Ok(candidate) => candidates.push(Some(candidate)),
-                    Err(_) => candidates.push(None),
-                }
-            }
-            let architectures = candidates
-                .iter()
-                .flatten()
-                .next()
-                .map(|c| c.architectures.clone());
+            let (candidates, architectures) = {
+                let _span = metrics::maybe_time(metrics::search_decode_wall);
+                let candidates: Vec<Option<Candidate>> = episode_samples
+                    .iter()
+                    .map(|sample| Self::decode_candidate(workload, hardware, config, sample).ok())
+                    .collect();
+                let architectures = candidates
+                    .iter()
+                    .flatten()
+                    .next()
+                    .map(|c| c.architectures.clone());
+                (candidates, architectures)
+            };
             // All of the episode's hardware designs are independent:
             // evaluate them as one parallel, cached batch.
             let hardware_evaluations = engine.evaluate_hardware_batch(&candidates);
@@ -494,16 +496,17 @@ impl Nasaic {
             for (step, (sample, candidate)) in episode_samples.iter().zip(candidates).enumerate() {
                 let Some(candidate) = candidate else {
                     // Undecodable sample: strongly discourage it.
-                    let _span = crate::metrics::maybe_time(crate::metrics::controller_wall);
+                    let _span = metrics::time_controller(metrics::controller_feedback_wall);
                     controller.feedback(sample, -config.rho);
                     if step == 0 {
                         joint_reward = -config.rho;
                     }
                     continue;
                 };
-                let (metrics, check) = hardware_evaluations[step]
+                let (hardware_metrics, check) = hardware_evaluations[step]
                     .expect("hardware evaluation exists for decodable candidates");
-                let penalty = Penalty::compute(&metrics, specs, &bounds);
+                let reward_span = metrics::maybe_time(metrics::search_reward_wall);
+                let penalty = Penalty::compute(&hardware_metrics, specs, &bounds);
                 let reward = match (step, &weighted) {
                     // Joint step with accuracy available: full Eq. 4 reward.
                     (0, Some(w)) => Reward::new(*w, &penalty, config.rho),
@@ -517,8 +520,9 @@ impl Nasaic {
                     // Pruned episode: penalty-only signal for every step.
                     (_, None) => Reward::hardware_only(&penalty, config.rho),
                 };
+                drop(reward_span);
                 {
-                    let _span = crate::metrics::maybe_time(crate::metrics::controller_wall);
+                    let _span = metrics::time_controller(metrics::controller_feedback_wall);
                     controller.feedback(sample, reward.value());
                 }
                 if step == 0 {
@@ -526,12 +530,13 @@ impl Nasaic {
                 }
 
                 if let (Some(accs), Some(w)) = (&accuracies, &weighted) {
+                    let _span = metrics::maybe_time(metrics::search_record_wall);
                     let evaluation = crate::evaluator::Evaluation {
                         accuracies: accs.clone(),
                         weighted_accuracy: *w,
-                        metrics,
+                        metrics: hardware_metrics,
                         spec_check: check,
-                        mapping_feasible: metrics.latency_cycles <= specs.latency_cycles,
+                        mapping_feasible: hardware_metrics.latency_cycles <= specs.latency_cycles,
                     };
                     outcome.record_observed(
                         ExploredSolution {
@@ -545,6 +550,7 @@ impl Nasaic {
                 }
             }
             outcome.episodes = episode + 1;
+            let record_span = metrics::maybe_time(metrics::search_record_wall);
             observer.on_event(&SearchEvent::EpisodeEvaluated {
                 episode,
                 evaluations: episode_samples.len(),
@@ -554,6 +560,7 @@ impl Nasaic {
                 entropy: Some(joint_sample.mean_entropy),
                 baseline: controller.baseline(),
             });
+            drop(record_span);
             checkpoint::offer_checkpoint(
                 sink,
                 observer,

@@ -1,11 +1,24 @@
 //! The recurrent policy network: a shared recurrent core with one softmax
 //! head per decision step, plus REINFORCE gradients computed by manual
 //! backpropagation-through-time.
+//!
+//! Every pass runs over one flat, reusable tape sized at construction:
+//! per step it holds the input index, the hidden state (`h_{t-1}` is the
+//! previous step's slot) and the step's probabilities (or logits), plus
+//! the step entropies and the backward sweep's scratch.  Sampling, greedy
+//! decoding, the objective, the gradients and the REINFORCE update share
+//! it, and the gradient buffers and RMSProp state are owned by the
+//! network, so none of them allocates per step.  The shortcuts this
+//! relies on — the one-hot gather, the one-column gradient update, the
+//! four-row matrix-vector kernels and the fused clip/negate/RMSProp pass —
+//! are each bit-identical to the dense `Matrix` composition they replace
+//! on finite values (see `nasaic_tensor::kernel`).
 
-use crate::rnn::{RnnCell, RnnGradients, RnnStepCache};
-use nasaic_tensor::activation::{entropy, softmax};
-use nasaic_tensor::{init, Matrix, Optimizer, RmsProp};
+use crate::rnn::{RnnCell, RnnGradients};
+use nasaic_tensor::activation::{entropy, softmax_in_place};
+use nasaic_tensor::{init, kernel, Matrix, Optimizer, RmsProp};
 use rand::Rng;
+use std::cell::RefCell;
 
 /// One sampled episode: the chosen action index for every decision step and
 /// the log-probability of the whole trajectory under the sampling policy.
@@ -20,11 +33,14 @@ pub struct EpisodeSample {
     pub mean_entropy: f64,
 }
 
-/// Parameter gradients of the policy network.
+/// Parameter gradients of the policy network (owned by the network and
+/// overwritten by every backward pass).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyGradients {
-    cell: RnnGradients,
-    heads: Vec<(Matrix, Matrix)>,
+    /// Gradients of the recurrent cell.
+    pub cell: RnnGradients,
+    /// Per-head `(weights, bias)` gradients, one per decision step.
+    pub heads: Vec<(Matrix, Matrix)>,
 }
 
 /// Hyperparameters of one REINFORCE update.
@@ -52,6 +68,44 @@ impl Default for UpdateConfig {
     }
 }
 
+/// The activations of one pass over all decision steps, in flat buffers
+/// sized once for the network.
+#[derive(Debug, Clone)]
+struct Tape {
+    /// One-hot input index of every step.
+    inputs: Vec<usize>,
+    /// `(steps + 1) x hidden`: `h_0 = 0`, then each step's hidden state.
+    hidden: Vec<f64>,
+    /// Each step's logits, turned into probabilities in place by every
+    /// pass except greedy decoding; step `t` is `probs[offsets[t]..offsets[t + 1]]`.
+    probs: Vec<f64>,
+    /// Entropy of each step's probabilities (replay only).
+    entropy: Vec<f64>,
+    /// Backward scratch: `d objective / d logits` of one step.
+    dlogits: Vec<f64>,
+    /// Forward scratch (`W_x x_t`), then backward `d/dh` of one step.
+    dh: Vec<f64>,
+    /// Backward `d/dz` (pre-activation) of one step.
+    dz: Vec<f64>,
+    /// Backward `d/dh_{t-1}` carried to the previous step.
+    dh_next: Vec<f64>,
+}
+
+impl Tape {
+    fn new(steps: usize, hidden: usize, options: usize, max_options: usize) -> Self {
+        Self {
+            inputs: vec![0; steps],
+            hidden: vec![0.0; (steps + 1) * hidden],
+            probs: vec![0.0; options],
+            entropy: vec![0.0; steps],
+            dlogits: vec![0.0; max_options],
+            dh: vec![0.0; hidden],
+            dz: vec![0.0; hidden],
+            dh_next: vec![0.0; hidden],
+        }
+    }
+}
+
 /// The recurrent policy network of the NASAIC controller.
 ///
 /// The network emits `T` decisions; decision `t` has
@@ -63,13 +117,20 @@ pub struct PolicyNetwork {
     cell: RnnCell,
     heads: Vec<(Matrix, Matrix)>,
     cardinalities: Vec<usize>,
+    /// Prefix sums of `cardinalities`: step `t`'s slice of the tape's
+    /// probabilities.
+    offsets: Vec<usize>,
     input_size: usize,
+    grads: PolicyGradients,
     // Per-parameter RMSProp state (the paper trains the controller with
     // RMSProp).
     opt_w_x: RmsProp,
     opt_w_h: RmsProp,
     opt_b: RmsProp,
     opt_heads: Vec<(RmsProp, RmsProp)>,
+    /// Shared by every pass; a `RefCell` because sampling and greedy
+    /// decoding only read the weights (`&self`).
+    tape: RefCell<Tape>,
 }
 
 impl PolicyNetwork {
@@ -105,15 +166,42 @@ impl PolicyNetwork {
             .iter()
             .map(|_| (RmsProp::new(0.05, 0.9), RmsProp::new(0.05, 0.9)))
             .collect();
+        let offsets: Vec<usize> = std::iter::once(0)
+            .chain(cardinalities.iter().scan(0, |end, &c| {
+                *end += c;
+                Some(*end)
+            }))
+            .collect();
+        let grads = PolicyGradients {
+            cell: cell.zero_gradients(),
+            heads: heads
+                .iter()
+                .map(|(u, c)| {
+                    (
+                        Matrix::zeros(u.rows(), u.cols()),
+                        Matrix::zeros(c.rows(), c.cols()),
+                    )
+                })
+                .collect(),
+        };
+        let tape = Tape::new(
+            cardinalities.len(),
+            hidden_size,
+            offsets[cardinalities.len()],
+            max_card,
+        );
         Self {
             cell,
             heads,
             cardinalities,
+            offsets,
             input_size,
+            grads,
             opt_w_x: RmsProp::new(0.05, 0.9),
             opt_w_h: RmsProp::new(0.05, 0.9),
             opt_b: RmsProp::new(0.05, 0.9),
             opt_heads,
+            tape: RefCell::new(tape),
         }
     }
 
@@ -127,40 +215,43 @@ impl PolicyNetwork {
         &self.cardinalities
     }
 
-    fn input_for(&self, step: usize, previous_action: Option<usize>) -> Matrix {
-        let mut x = Matrix::zeros(self.input_size, 1);
-        match previous_action {
-            None => x[(self.input_size - 1, 0)] = 1.0, // start token
-            Some(a) => {
-                debug_assert!(step > 0);
-                x[(a.min(self.input_size - 2), 0)] = 1.0;
+    /// Run the network forward over all steps, recording the pass on
+    /// `tape`.  `decide(t, logits)` receives step `t`'s logits in its
+    /// tape slot (and may turn them into probabilities in place) and
+    /// returns the step's action, which feeds the next step's input.
+    fn forward(&self, tape: &mut Tape, mut decide: impl FnMut(usize, &mut [f64]) -> usize) {
+        let n = self.cell.hidden_size();
+        // Step 0 reads the start token; later steps the previous action.
+        let mut input = self.input_size - 1;
+        for (t, (u, c)) in self.heads.iter().enumerate() {
+            tape.inputs[t] = input;
+            let (past, next) = tape.hidden.split_at_mut((t + 1) * n);
+            let h = &mut next[..n];
+            self.cell.forward(input, &past[t * n..], &mut tape.dh, h);
+            let logits = &mut tape.probs[self.offsets[t]..self.offsets[t + 1]];
+            kernel::matvec(u.as_slice(), h, logits, u.rows(), n);
+            for (l, &b) in logits.iter_mut().zip(c.as_slice()) {
+                *l += b;
             }
+            input = decide(t, logits).min(self.input_size - 2);
         }
-        x
     }
 
-    /// Run the network forward for a fixed action trajectory, returning per
-    /// step (probabilities, cache).
-    fn replay(&self, actions: &[usize]) -> Vec<(Vec<f64>, RnnStepCache)> {
+    /// Replay a fixed action trajectory at temperature 1, leaving each
+    /// step's probabilities and entropy on the tape.
+    fn replay(&self, tape: &mut Tape, actions: &[usize]) {
         assert_eq!(
             actions.len(),
             self.num_steps(),
             "trajectory length mismatch"
         );
-        let mut out = Vec::with_capacity(actions.len());
-        let mut h = self.cell.initial_state();
-        let mut prev = None;
-        for (t, &action) in actions.iter().enumerate() {
-            let x = self.input_for(t, prev);
-            let (h_new, cache) = self.cell.forward(&x, &h);
-            let (u, c) = &self.heads[t];
-            let logits = &u.matmul(&h_new) + c;
-            let probabilities = softmax(logits.as_slice());
-            out.push((probabilities, cache));
-            h = h_new;
-            prev = Some(action);
+        self.forward(tape, |t, logits| {
+            softmax_in_place(logits);
+            actions[t]
+        });
+        for (t, e) in tape.entropy.iter_mut().enumerate() {
+            *e = entropy(&tape.probs[self.offsets[t]..self.offsets[t + 1]]);
         }
-        out
     }
 
     /// Sample an episode with a softmax temperature (1.0 = on-policy).
@@ -173,22 +264,17 @@ impl PolicyNetwork {
         let mut actions = Vec::with_capacity(self.num_steps());
         let mut log_prob = 0.0;
         let mut entropy_sum = 0.0;
-        let mut h = self.cell.initial_state();
-        let mut prev = None;
-        for t in 0..self.num_steps() {
-            let x = self.input_for(t, prev);
-            let (h_new, _) = self.cell.forward(&x, &h);
-            let (u, c) = &self.heads[t];
-            let logits = &u.matmul(&h_new) + c;
-            let scaled: Vec<f64> = logits.as_slice().iter().map(|v| v / temperature).collect();
-            let probabilities = softmax(&scaled);
-            let action = sample_categorical(rng, &probabilities);
-            log_prob += probabilities[action].max(1e-300).ln();
-            entropy_sum += entropy(&probabilities);
+        self.forward(&mut self.tape.borrow_mut(), |_, logits| {
+            for v in logits.iter_mut() {
+                *v /= temperature;
+            }
+            softmax_in_place(logits);
+            let action = sample_categorical(rng, logits);
+            log_prob += logits[action].max(1e-300).ln();
+            entropy_sum += entropy(logits);
             actions.push(action);
-            h = h_new;
-            prev = Some(action);
-        }
+            action
+        });
         EpisodeSample {
             actions,
             log_prob,
@@ -199,159 +285,139 @@ impl PolicyNetwork {
     /// Greedy (argmax) trajectory of the current policy.
     pub fn greedy_episode(&self) -> Vec<usize> {
         let mut actions = Vec::with_capacity(self.num_steps());
-        let mut h = self.cell.initial_state();
-        let mut prev = None;
-        for t in 0..self.num_steps() {
-            let x = self.input_for(t, prev);
-            let (h_new, _) = self.cell.forward(&x, &h);
-            let (u, c) = &self.heads[t];
-            let logits = &u.matmul(&h_new) + c;
+        self.forward(&mut self.tape.borrow_mut(), |_, logits| {
             let action = logits
-                .as_slice()
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(i, _)| i)
                 .unwrap_or(0);
             actions.push(action);
-            h = h_new;
-            prev = Some(action);
-        }
+            action
+        });
         actions
     }
 
     /// The REINFORCE objective for a trajectory:
     /// `advantage * sum_t log pi(a_t) + entropy_beta * sum_t H(pi_t)`.
     pub fn objective(&self, actions: &[usize], advantage: f64, entropy_beta: f64) -> f64 {
-        let steps = self.replay(actions);
+        let tape = &mut *self.tape.borrow_mut();
+        self.replay(tape, actions);
         let mut value = 0.0;
-        for ((probabilities, _), &action) in steps.iter().zip(actions) {
-            value += advantage * probabilities[action].max(1e-300).ln();
-            value += entropy_beta * entropy(probabilities);
+        for (t, &action) in actions.iter().enumerate() {
+            value += advantage * tape.probs[self.offsets[t] + action].max(1e-300).ln();
+            value += entropy_beta * tape.entropy[t];
         }
         value
     }
 
-    /// Gradients of the REINFORCE objective (for *ascent*).
+    /// Gradients of the REINFORCE objective (for *ascent*), in the
+    /// network's own gradient buffers.
     pub fn compute_gradients(
-        &self,
+        &mut self,
         actions: &[usize],
         advantage: f64,
         entropy_beta: f64,
-    ) -> PolicyGradients {
-        let steps = self.replay(actions);
-        self.gradients_from_steps(&steps, actions, advantage, entropy_beta)
+    ) -> &PolicyGradients {
+        self.replay(&mut self.tape.borrow_mut(), actions);
+        self.backward(actions, advantage, entropy_beta);
+        &self.grads
     }
 
-    /// Backward sweep over an already-replayed trajectory (shared by
+    /// Backward sweep over the trajectory replayed on the tape, into the
+    /// network's gradient buffers (shared by
     /// [`compute_gradients`](Self::compute_gradients) and
     /// [`reinforce_update`](Self::reinforce_update), which also needs the
-    /// replayed probabilities for the entropy-floor guard).
-    fn gradients_from_steps(
-        &self,
-        steps: &[(Vec<f64>, RnnStepCache)],
-        actions: &[usize],
-        advantage: f64,
-        entropy_beta: f64,
-    ) -> PolicyGradients {
-        let mut cell_grads = self.cell.zero_gradients();
-        let mut head_grads: Vec<(Matrix, Matrix)> = self
-            .heads
-            .iter()
-            .map(|(u, c)| {
-                (
-                    Matrix::zeros(u.rows(), u.cols()),
-                    Matrix::zeros(c.rows(), c.cols()),
-                )
-            })
-            .collect();
-
-        // Backward sweep over time.
-        let mut dh_next = Matrix::zeros(self.cell.hidden_size(), 1);
+    /// replayed entropies for the entropy-floor guard).
+    fn backward(&mut self, actions: &[usize], advantage: f64, entropy_beta: f64) {
+        let n = self.cell.hidden_size();
+        let tape = self.tape.get_mut();
+        let grads = &mut self.grads;
+        grads.cell.zero();
+        tape.dh_next.fill(0.0);
         for t in (0..actions.len()).rev() {
-            let (probabilities, cache) = &steps[t];
-            let action = actions[t];
-            let step_entropy = entropy(probabilities);
+            let probabilities = &tape.probs[self.offsets[t]..self.offsets[t + 1]];
+            let (action, step_entropy) = (actions[t], tape.entropy[t]);
             // d(objective)/dlogits for ascent:
             //   advantage * (onehot - p)  - entropy_beta * p * (ln p + H)
-            let dlogits_data: Vec<f64> = probabilities
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    let onehot = if i == action { 1.0 } else { 0.0 };
-                    let policy_term = advantage * (onehot - p);
-                    let entropy_term = -entropy_beta * p * (p.max(1e-300).ln() + step_entropy);
-                    policy_term + entropy_term
-                })
-                .collect();
-            let dlogits = Matrix::col_vector(&dlogits_data);
+            let dlogits = &mut tape.dlogits[..probabilities.len()];
+            for (i, (d, &p)) in dlogits.iter_mut().zip(probabilities).enumerate() {
+                let onehot = if i == action { 1.0 } else { 0.0 };
+                let policy_term = advantage * (onehot - p);
+                let entropy_term = -entropy_beta * p * (p.max(1e-300).ln() + step_entropy);
+                *d = policy_term + entropy_term;
+            }
             let (u, _) = &self.heads[t];
-            // Rank-1 head gradient and fused-transpose hidden gradient,
-            // bit-identical to the transpose-then-matmul composition.
-            head_grads[t].0.add_outer(&dlogits_data, cache.h.as_slice());
-            head_grads[t].1 += &dlogits;
-            let dh = &u.matmul_tn(&dlogits) + &dh_next;
-            dh_next = self.cell.backward(cache, &dh, &mut cell_grads);
-        }
-
-        PolicyGradients {
-            cell: cell_grads,
-            heads: head_grads,
+            let (gu, gc) = &mut grads.heads[t];
+            let h_prev = &tape.hidden[t * n..(t + 1) * n];
+            let h = &tape.hidden[(t + 1) * n..(t + 2) * n];
+            // Each head serves one step, so its gradient is that step's
+            // rank-1 term alone, written as accumulating it into a zeroed
+            // buffer would leave it (`set_outer`, and `0.0 + d`).
+            kernel::set_outer(gu.as_mut_slice(), dlogits, h);
+            for (g, &d) in gc.as_mut_slice().iter_mut().zip(dlogits.iter()) {
+                *g = 0.0 + d;
+            }
+            kernel::matvec_tn(u.as_slice(), dlogits, &mut tape.dh, u.rows(), n);
+            for (dh, &next) in tape.dh.iter_mut().zip(&tape.dh_next) {
+                *dh += next;
+            }
+            // `d/dh_{-1}` is never used: skip it at the first step.
+            let dh_prev = (t > 0).then_some(&mut tape.dh_next[..]);
+            self.cell.backward(
+                tape.inputs[t],
+                h_prev,
+                h,
+                &tape.dh,
+                &mut tape.dz,
+                &mut grads.cell,
+                dh_prev,
+            );
         }
     }
 
     /// Apply one REINFORCE update for a trajectory and its advantage.
     ///
-    /// Gradients are clipped element-wise and applied with RMSProp (gradient
-    /// *ascent* on the objective, implemented by negating before the
-    /// optimizer step).
+    /// Gradients are clipped element-wise and applied with RMSProp
+    /// (gradient *ascent* on the objective); clip, negation and the
+    /// optimizer step run as one fused pass per parameter
+    /// ([`RmsProp::ascend_clipped`]).
     pub fn reinforce_update(&mut self, actions: &[usize], advantage: f64, config: &UpdateConfig) {
-        let steps = self.replay(actions);
+        self.replay(&mut self.tape.borrow_mut(), actions);
         // Anti-collapse guard: when the replayed trajectory's mean entropy
         // sits below the floor, scale the entropy bonus up in proportion.
         // The scaled coefficient is a constant within this update, so the
         // gradient is the exact gradient of the (rescaled) objective.
         let mut entropy_beta = config.entropy_beta;
         if config.entropy_floor > 0.0 {
-            let mean_entropy = (steps
-                .iter()
-                .map(|(probabilities, _)| entropy(probabilities))
-                .sum::<f64>()
-                / steps.len().max(1) as f64)
-                .max(1e-3);
+            let entropies = &self.tape.get_mut().entropy;
+            let mean_entropy =
+                (entropies.iter().sum::<f64>() / entropies.len().max(1) as f64).max(1e-3);
             if mean_entropy < config.entropy_floor {
                 entropy_beta *= config.entropy_floor / mean_entropy;
             }
         }
-        let mut grads = self.gradients_from_steps(&steps, actions, advantage, entropy_beta);
-        // Clip and negate (optimizers minimise).
-        let clip = config.gradient_clip;
-        for g in [&mut grads.cell.w_x, &mut grads.cell.w_h, &mut grads.cell.b] {
-            g.clip_inplace(clip);
-            g.map_inplace(|v| -v);
+        self.backward(actions, advantage, entropy_beta);
+        let (clip, lr) = (config.gradient_clip, config.learning_rate);
+        let grads = &self.grads;
+        for (opt, param, grad) in [
+            (&mut self.opt_w_x, &mut self.cell.w_x, &grads.cell.w_x),
+            (&mut self.opt_w_h, &mut self.cell.w_h, &grads.cell.w_h),
+            (&mut self.opt_b, &mut self.cell.b, &grads.cell.b),
+        ] {
+            opt.set_learning_rate(lr);
+            opt.ascend_clipped(param, grad, clip);
         }
-        for (gu, gc) in &mut grads.heads {
-            gu.clip_inplace(clip);
-            gu.map_inplace(|v| -v);
-            gc.clip_inplace(clip);
-            gc.map_inplace(|v| -v);
-        }
-        self.opt_w_x.set_learning_rate(config.learning_rate);
-        self.opt_w_h.set_learning_rate(config.learning_rate);
-        self.opt_b.set_learning_rate(config.learning_rate);
-        self.opt_w_x.step(&mut self.cell.w_x, &grads.cell.w_x);
-        self.opt_w_h.step(&mut self.cell.w_h, &grads.cell.w_h);
-        self.opt_b.step(&mut self.cell.b, &grads.cell.b);
         for (((u, c), (gu, gc)), (opt_u, opt_c)) in self
             .heads
             .iter_mut()
-            .zip(grads.heads.iter())
+            .zip(&grads.heads)
             .zip(self.opt_heads.iter_mut())
         {
-            opt_u.set_learning_rate(config.learning_rate);
-            opt_c.set_learning_rate(config.learning_rate);
-            opt_u.step(u, gu);
-            opt_c.step(c, gc);
+            opt_u.set_learning_rate(lr);
+            opt_c.set_learning_rate(lr);
+            opt_u.ascend_clipped(u, gu, clip);
+            opt_c.ascend_clipped(c, gc, clip);
         }
     }
 
@@ -424,12 +490,6 @@ impl PolicyNetwork {
     pub fn cell_mut(&mut self) -> &mut RnnCell {
         &mut self.cell
     }
-
-    /// Gradient accessors used by tests.
-    #[doc(hidden)]
-    pub fn gradients_parts(grads: &PolicyGradients) -> (&RnnGradients, &[(Matrix, Matrix)]) {
-        (&grads.cell, &grads.heads)
-    }
 }
 
 fn sample_categorical<R: Rng>(rng: &mut R, probabilities: &[f64]) -> usize {
@@ -482,10 +542,9 @@ mod tests {
 
     #[test]
     fn head_gradient_matches_finite_difference() {
-        let net = network(4);
+        let mut net = network(4);
         let actions = vec![1, 2, 10, 5];
-        let grads = net.compute_gradients(&actions, 1.0, 0.0);
-        let (_, head_grads) = PolicyNetwork::gradients_parts(&grads);
+        let head_grads = net.compute_gradients(&actions, 1.0, 0.0).heads.clone();
         // Finite-difference the objective w.r.t. head 2's weights.
         let mut probe = net.clone();
         let param = probe.head_weights_mut(2).clone();
@@ -500,10 +559,9 @@ mod tests {
 
     #[test]
     fn recurrent_gradient_matches_finite_difference() {
-        let net = network(5);
+        let mut net = network(5);
         let actions = vec![0, 1, 3, 8];
-        let grads = net.compute_gradients(&actions, 0.7, 0.0);
-        let (cell_grads, _) = PolicyNetwork::gradients_parts(&grads);
+        let cell_grads = net.compute_gradients(&actions, 0.7, 0.0).cell.clone();
         let param = net.clone().cell_mut().w_h.clone();
         let report = nasaic_tensor::gradcheck::check_gradient(&param, &cell_grads.w_h, 1e-5, |w| {
             let mut trial = net.clone();
@@ -515,10 +573,9 @@ mod tests {
 
     #[test]
     fn entropy_gradient_matches_finite_difference() {
-        let net = network(6);
+        let mut net = network(6);
         let actions = vec![2, 0, 5, 1];
-        let grads = net.compute_gradients(&actions, 0.0, 0.5);
-        let (_, head_grads) = PolicyNetwork::gradients_parts(&grads);
+        let head_grads = net.compute_gradients(&actions, 0.0, 0.5).heads.clone();
         let param = net.heads[0].0.clone();
         let report =
             nasaic_tensor::gradcheck::check_gradient(&param, &head_grads[0].0, 1e-5, |w| {

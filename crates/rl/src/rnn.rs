@@ -3,9 +3,16 @@
 //! The controller uses an Elman-style recurrent core
 //! `h_t = tanh(W_x x_t + W_h h_{t-1} + b)`.  Keeping the cell simple makes
 //! hand-written backpropagation-through-time tractable and verifiable with
-//! finite differences (see the tests in [`crate::policy`]).
+//! finite differences (see the tests here and in [`crate::policy`]).
+//!
+//! The input `x_t` is always a one-hot vector (the previous decision, or
+//! the start token), so the cell takes it as an index: `W_x x_t` is the
+//! column gather [`kernel::matvec_onehot`] and the `W_x` gradient is the
+//! one-column update [`kernel::add_outer_onehot`], both bit-identical to
+//! the dense one-hot products on finite values.  The steps work on
+//! caller-owned slices (the policy's tape) and allocate nothing.
 
-use nasaic_tensor::{init, Matrix};
+use nasaic_tensor::{init, kernel, Matrix};
 use rand::Rng;
 
 /// Parameters of the recurrent cell.
@@ -19,17 +26,6 @@ pub struct RnnCell {
     pub b: Matrix,
 }
 
-/// Cached activations of one forward step, needed for backpropagation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RnnStepCache {
-    /// Input vector of the step.
-    pub x: Matrix,
-    /// Previous hidden state.
-    pub h_prev: Matrix,
-    /// New hidden state (`tanh` output).
-    pub h: Matrix,
-}
-
 /// Accumulated parameter gradients for the cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RnnGradients {
@@ -39,6 +35,15 @@ pub struct RnnGradients {
     pub w_h: Matrix,
     /// Gradient of `b`.
     pub b: Matrix,
+}
+
+impl RnnGradients {
+    /// Reset every gradient to `+0.0`.
+    pub fn zero(&mut self) {
+        for g in [&mut self.w_x, &mut self.w_h, &mut self.b] {
+            g.as_mut_slice().fill(0.0);
+        }
+    }
 }
 
 impl RnnCell {
@@ -69,48 +74,53 @@ impl RnnCell {
         self.w_x.cols()
     }
 
-    /// The all-zero initial hidden state.
-    pub fn initial_state(&self) -> Matrix {
-        Matrix::zeros(self.hidden_size(), 1)
+    /// One forward step with the one-hot input `e_input`: writes
+    /// `h = tanh((W_x e_input + W_h h_prev) + b)`.  `wx` is scratch of
+    /// hidden size.
+    pub fn forward(&self, input: usize, h_prev: &[f64], wx: &mut [f64], h: &mut [f64]) {
+        let (hidden, inputs) = (self.hidden_size(), self.input_size());
+        kernel::matvec_onehot(self.w_x.as_slice(), input, wx, hidden, inputs);
+        kernel::matvec(self.w_h.as_slice(), h_prev, h, hidden, hidden);
+        for ((z, &x), &b) in h.iter_mut().zip(wx.iter()).zip(self.b.as_slice()) {
+            *z = ((x + *z) + b).tanh();
+        }
     }
 
-    /// One forward step; returns the new hidden state and the cache needed
-    /// for the backward pass.
-    pub fn forward(&self, x: &Matrix, h_prev: &Matrix) -> (Matrix, RnnStepCache) {
-        let z = &(&self.w_x.matmul(x) + &self.w_h.matmul(h_prev)) + &self.b;
-        let h = z.map(f64::tanh);
-        let cache = RnnStepCache {
-            x: x.clone(),
-            h_prev: h_prev.clone(),
-            h: h.clone(),
-        };
-        (h, cache)
-    }
-
-    /// One backward step.
+    /// One backward step of the step `(input, h_prev) -> h`.
     ///
     /// `dh` is the gradient flowing into the step's hidden state (from the
-    /// output head and from the next time step).  Gradients for the cell
-    /// parameters are accumulated into `grads`; the gradient with respect to
-    /// the previous hidden state is returned so the caller can continue the
-    /// backward sweep.
-    pub fn backward(&self, cache: &RnnStepCache, dh: &Matrix, grads: &mut RnnGradients) -> Matrix {
+    /// output head and from the next time step); `dz` is scratch for the
+    /// pre-activation gradient.  Gradients for the cell parameters are
+    /// accumulated into `grads`, which must start from
+    /// [`zero_gradients`](Self::zero_gradients) or [`RnnGradients::zero`]
+    /// (the one-column `w_x` update relies on holding no `-0.0`; see
+    /// [`kernel::add_outer_onehot`]).  When `dh_prev` is given it receives the
+    /// gradient with respect to the previous hidden state, so the caller
+    /// can continue the backward sweep.
+    #[allow(clippy::too_many_arguments)]
+    pub fn backward(
+        &self,
+        input: usize,
+        h_prev: &[f64],
+        h: &[f64],
+        dh: &[f64],
+        dz: &mut [f64],
+        grads: &mut RnnGradients,
+        dh_prev: Option<&mut [f64]>,
+    ) {
         // dz = dh * (1 - h^2)   (tanh derivative)
-        let dz_data: Vec<f64> = dh
-            .as_slice()
-            .iter()
-            .zip(cache.h.as_slice())
-            .map(|(&g, &h)| g * (1.0 - h * h))
-            .collect();
-        let dz = Matrix::from_vec(dh.rows(), 1, dz_data);
-        // Rank-1 weight gradients and the fused-transpose product avoid
-        // materialising `x^T`, `h_prev^T` and `w_h^T`; both are
-        // bit-identical to the transpose-then-matmul composition (see the
-        // `nasaic-tensor` kernel identity suite).
-        grads.w_x.add_outer(dz.as_slice(), cache.x.as_slice());
-        grads.w_h.add_outer(dz.as_slice(), cache.h_prev.as_slice());
-        grads.b += &dz;
-        self.w_h.matmul_tn(&dz)
+        for ((z, &g), &h) in dz.iter_mut().zip(dh).zip(h) {
+            *z = g * (1.0 - h * h);
+        }
+        kernel::add_outer_onehot(grads.w_x.as_mut_slice(), dz, input, self.input_size());
+        kernel::add_outer(grads.w_h.as_mut_slice(), dz, h_prev);
+        for (g, &z) in grads.b.as_mut_slice().iter_mut().zip(dz.iter()) {
+            *g += z;
+        }
+        if let Some(dh_prev) = dh_prev {
+            let hidden = self.hidden_size();
+            kernel::matvec_tn(self.w_h.as_slice(), dz, dh_prev, hidden, hidden);
+        }
     }
 
     /// Zero-valued gradient buffers matching this cell's shapes.
@@ -129,47 +139,91 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Run `inputs` from the zero state; returns every hidden state,
+    /// `h_0 = 0` first.
+    fn unroll(cell: &RnnCell, inputs: &[usize]) -> Vec<Vec<f64>> {
+        let n = cell.hidden_size();
+        let mut states = vec![vec![0.0; n]];
+        let mut wx = vec![0.0; n];
+        for &input in inputs {
+            let mut h = vec![0.0; n];
+            cell.forward(input, states.last().unwrap(), &mut wx, &mut h);
+            states.push(h);
+        }
+        states
+    }
+
+    /// Backpropagate `d(sum h_T)/d(params)` through an unrolled sequence.
+    fn sum_last_gradients(cell: &RnnCell, inputs: &[usize]) -> RnnGradients {
+        let n = cell.hidden_size();
+        let states = unroll(cell, inputs);
+        let mut grads = cell.zero_gradients();
+        let mut dh = vec![1.0; n];
+        let mut dz = vec![0.0; n];
+        for t in (0..inputs.len()).rev() {
+            let mut dh_prev = vec![0.0; n];
+            cell.backward(
+                inputs[t],
+                &states[t],
+                &states[t + 1],
+                &dh,
+                &mut dz,
+                &mut grads,
+                Some(&mut dh_prev),
+            );
+            dh = dh_prev;
+        }
+        grads
+    }
+
     #[test]
     fn forward_produces_bounded_activations() {
         let mut rng = StdRng::seed_from_u64(1);
         let cell = RnnCell::new(&mut rng, 4, 8);
-        let x = Matrix::col_vector(&[1.0, -2.0, 0.5, 3.0]);
-        let (h, cache) = cell.forward(&x, &cell.initial_state());
-        assert_eq!(h.shape(), (8, 1));
-        assert!(h.as_slice().iter().all(|v| v.abs() <= 1.0));
-        assert_eq!(cache.h, h);
+        let states = unroll(&cell, &[3]);
+        assert_eq!(states[1].len(), 8);
+        assert!(states[1].iter().all(|v| v.abs() <= 1.0));
     }
 
     #[test]
     fn hidden_state_carries_information_across_steps() {
         let mut rng = StdRng::seed_from_u64(2);
         let cell = RnnCell::new(&mut rng, 3, 6);
-        let x1 = Matrix::col_vector(&[1.0, 0.0, 0.0]);
-        let x2 = Matrix::col_vector(&[0.0, 1.0, 0.0]);
-        let (h1, _) = cell.forward(&x1, &cell.initial_state());
-        let (h_after_1_then_2, _) = cell.forward(&x2, &h1);
-        let (h_only_2, _) = cell.forward(&x2, &cell.initial_state());
-        assert_ne!(h_after_1_then_2, h_only_2);
+        let after_0_then_1 = unroll(&cell, &[0, 1]);
+        let only_1 = unroll(&cell, &[1]);
+        assert_ne!(after_0_then_1[2], only_1[1]);
+    }
+
+    #[test]
+    fn forward_matches_the_dense_one_hot_composition() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let cell = RnnCell::new(&mut rng, 5, 7);
+        let h_prev: Vec<f64> = (0..7).map(|i| 0.1 * i as f64 - 0.3).collect();
+        for input in 0..5 {
+            let mut x = Matrix::zeros(5, 1);
+            x[(input, 0)] = 1.0;
+            let z = &(&cell.w_x.matmul_reference(&x)
+                + &cell.w_h.matmul_reference(&Matrix::col_vector(&h_prev)))
+                + &cell.b;
+            let mut h = vec![0.0; 7];
+            cell.forward(input, &h_prev, &mut [0.0; 7], &mut h);
+            let dense: Vec<u64> = z.as_slice().iter().map(|v| v.tanh().to_bits()).collect();
+            let fast: Vec<u64> = h.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(fast, dense);
+        }
     }
 
     #[test]
     fn backward_gradient_matches_finite_difference_for_wx() {
-        // Loss = sum(h) after a single step; check dLoss/dW_x numerically.
+        // Loss = sum(h) after a single step; check dLoss/dW_x numerically
+        // (every column but the input's has a zero gradient).
         let mut rng = StdRng::seed_from_u64(3);
         let cell = RnnCell::new(&mut rng, 3, 4);
-        let x = Matrix::col_vector(&[0.3, -0.7, 0.2]);
-        let h0 = cell.initial_state();
-
-        let (h, cache) = cell.forward(&x, &h0);
-        let mut grads = cell.zero_gradients();
-        let dh = Matrix::filled(h.rows(), 1, 1.0); // dLoss/dh = 1
-        cell.backward(&cache, &dh, &mut grads);
-
+        let grads = sum_last_gradients(&cell, &[1]);
         let loss = |w: &Matrix| -> f64 {
             let mut trial = cell.clone();
             trial.w_x = w.clone();
-            let (h, _) = trial.forward(&x, &h0);
-            h.sum()
+            unroll(&trial, &[1])[1].iter().sum()
         };
         let report = nasaic_tensor::gradcheck::check_gradient(&cell.w_x, &grads.w_x, 1e-5, loss);
         assert!(report.passes(1e-5), "{report:?}");
@@ -180,25 +234,12 @@ mod tests {
         // Two chained steps, loss = sum(h2): checks the recurrent path.
         let mut rng = StdRng::seed_from_u64(4);
         let cell = RnnCell::new(&mut rng, 2, 3);
-        let x1 = Matrix::col_vector(&[0.5, -0.1]);
-        let x2 = Matrix::col_vector(&[-0.3, 0.8]);
-
-        let run = |c: &RnnCell| {
-            let (h1, c1) = c.forward(&x1, &c.initial_state());
-            let (h2, c2) = c.forward(&x2, &h1);
-            (h1, h2, c1, c2)
-        };
-        let (_h1, h2, c1, c2) = run(&cell);
-        let mut grads = cell.zero_gradients();
-        let dh2 = Matrix::filled(h2.rows(), 1, 1.0);
-        let dh1 = cell.backward(&c2, &dh2, &mut grads);
-        cell.backward(&c1, &dh1, &mut grads);
-
+        let inputs = [0, 1];
+        let grads = sum_last_gradients(&cell, &inputs);
         let loss = |w: &Matrix| -> f64 {
             let mut trial = cell.clone();
             trial.w_h = w.clone();
-            let (_, h2, _, _) = run(&trial);
-            h2.sum()
+            unroll(&trial, &inputs)[2].iter().sum()
         };
         let report = nasaic_tensor::gradcheck::check_gradient(&cell.w_h, &grads.w_h, 1e-5, loss);
         assert!(report.passes(1e-4), "{report:?}");

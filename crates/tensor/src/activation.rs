@@ -57,13 +57,9 @@ pub fn relu_derivative(x: f64) -> f64 {
 /// assert!((p[0] - 0.5).abs() < 1e-12);
 /// ```
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
-    if logits.is_empty() {
-        return Vec::new();
-    }
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|v| v / sum).collect()
+    let mut out = logits.to_vec();
+    softmax_in_place(&mut out);
+    out
 }
 
 /// [`softmax`] into a caller-provided buffer — zero allocations once the
@@ -73,13 +69,23 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
 /// exponentiate, normalise), so the results are bit-for-bit identical.
 pub fn softmax_into(logits: &[f64], out: &mut Vec<f64>) {
     out.clear();
-    if logits.is_empty() {
+    out.extend_from_slice(logits);
+    softmax_in_place(out);
+}
+
+/// [`softmax`] overwriting its input: the logits become probabilities,
+/// with the same operations in the same order (subtract-max,
+/// exponentiate, normalise), so the results are bit-for-bit identical.
+pub fn softmax_in_place(values: &mut [f64]) {
+    if values.is_empty() {
         return;
     }
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    out.extend(logits.iter().map(|&v| (v - max).exp()));
-    let sum: f64 = out.iter().sum();
-    for v in out.iter_mut() {
+    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for v in values.iter_mut() {
+        *v = (*v - max).exp();
+    }
+    let sum: f64 = values.iter().sum();
+    for v in values.iter_mut() {
         *v /= sum;
     }
 }

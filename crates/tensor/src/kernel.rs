@@ -7,7 +7,11 @@
 //! blocking and unrolling only change *which element* is updated next,
 //! never the order of additions *within* an element, so every kernel is
 //! bit-for-bit identical to the reference composition it replaces
-//! (asserted by the `kernel_identity` property suite).
+//! (asserted by the `kernel_identity` property suite).  The one-hot
+//! kernels ([`matvec_onehot`], [`add_outer_onehot`]) skip the additions of
+//! exact zeros the same way the old zero-skip did, so they are
+//! bit-identical under the conditions their docs state: finite values,
+//! and for the update an accumulator that holds no `-0.0`.
 //!
 //! The kernels are branch-free in the inner loop: the old data-dependent
 //! zero-skip (`if a == 0.0 { continue; }`) stalled the dense
@@ -134,25 +138,104 @@ pub fn matmul_nt(lhs: &[f64], rhs: &[f64], out: &mut [f64], m: usize, p: usize, 
     }
 }
 
+/// Dot products of `R` consecutive rows of `rows` (row-major, `x.len()`
+/// columns) with `x`: one accumulator per row, each adding its products
+/// in ascending `k` exactly like [`dot`].  The `R` independent
+/// dependency chains hide the floating-point add latency that a single
+/// dot stalls on.
+#[inline(always)]
+fn dot_rows<const R: usize>(rows: &[f64], x: &[f64]) -> [f64; R] {
+    let cols = x.len();
+    debug_assert_eq!(rows.len(), R * cols);
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &rows[r * cols..(r + 1) * cols]);
+    let mut acc = [0.0; R];
+    for (k, &xk) in x.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a += row[k] * xk;
+        }
+    }
+    acc
+}
+
 /// Matrix-vector product `out = m * x` (`m` is `rows x cols` row-major).
+///
+/// Four output rows are computed at once, each with its own single
+/// ascending-`k` accumulator; the last one to three rows go through one
+/// narrower block.  Every element sees exactly the reference's addition
+/// order.
 pub fn matvec(m: &[f64], x: &[f64], out: &mut [f64], rows: usize, cols: usize) {
     debug_assert_eq!(m.len(), rows * cols);
     debug_assert_eq!(x.len(), cols);
     debug_assert_eq!(out.len(), rows);
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = dot(&m[i * cols..(i + 1) * cols], x);
+    if cols == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let mut out_quads = out.chunks_exact_mut(4);
+    let mut m_quads = m.chunks_exact(4 * cols);
+    for (o, quad) in out_quads.by_ref().zip(m_quads.by_ref()) {
+        o.copy_from_slice(&dot_rows::<4>(quad, x));
+    }
+    let (o, tail) = (out_quads.into_remainder(), m_quads.remainder());
+    match o.len() {
+        3 => o.copy_from_slice(&dot_rows::<3>(tail, x)),
+        2 => o.copy_from_slice(&dot_rows::<2>(tail, x)),
+        1 => o.copy_from_slice(&dot_rows::<1>(tail, x)),
+        _ => {}
     }
 }
 
 /// Transposed matrix-vector product `out = m^T * x` (`m` is
 /// `rows x cols` row-major, `x` has `rows` elements, `out` has `cols`).
+///
+/// Four rows of `m` are folded into `out` per pass: each output element
+/// takes their four products in ascending `k` before it is stored again,
+/// which quarters the load/store traffic on `out` without changing any
+/// element's addition order.  Leftover rows are folded in one at a time.
 pub fn matvec_tn(m: &[f64], x: &[f64], out: &mut [f64], rows: usize, cols: usize) {
     debug_assert_eq!(m.len(), rows * cols);
     debug_assert_eq!(x.len(), rows);
     debug_assert_eq!(out.len(), cols);
     out.fill(0.0);
-    for (k, &xk) in x.iter().enumerate() {
-        axpy_row(out, xk, &m[k * cols..(k + 1) * cols]);
+    if cols == 0 {
+        return;
+    }
+    let mut m_quads = m.chunks_exact(4 * cols);
+    let mut x_quads = x.chunks_exact(4);
+    for (quad, xs) in m_quads.by_ref().zip(x_quads.by_ref()) {
+        let (r0, rest) = quad.split_at(cols);
+        let (r1, rest) = rest.split_at(cols);
+        let (r2, r3) = rest.split_at(cols);
+        let (x0, x1, x2, x3) = (xs[0], xs[1], xs[2], xs[3]);
+        for ((((o, &w0), &w1), &w2), &w3) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            *o = *o + x0 * w0 + x1 * w1 + x2 * w2 + x3 * w3;
+        }
+    }
+    for (row, &xk) in m_quads
+        .remainder()
+        .chunks_exact(cols)
+        .zip(x_quads.remainder())
+    {
+        axpy_row(out, xk, row);
+    }
+}
+
+/// `out = m * e_index` for the one-hot vector `e_index` (`m` is
+/// `rows x cols` row-major): the column gather `out[i] = m[i][index] + 0.0`.
+///
+/// Exact on finite values: the dense product's accumulator starts at
+/// `+0.0` and adds `m[i][k] * 0.0 = ±0.0` for every `k != index` — which
+/// leaves `+0.0` at `+0.0` and any other value unchanged — and
+/// `m[i][index] * 1.0 = m[i][index]` once.  The only visible trace of the
+/// accumulation is the sign of zero, which `+ 0.0` reproduces.  (A
+/// non-finite weight off the gathered column would make the dense product
+/// NaN; the gather does not see it.)
+pub fn matvec_onehot(m: &[f64], index: usize, out: &mut [f64], rows: usize, cols: usize) {
+    debug_assert_eq!(m.len(), rows * cols);
+    debug_assert!(index < cols);
+    debug_assert_eq!(out.len(), rows);
+    for (slot, row) in out.iter_mut().zip(m.chunks_exact(cols)) {
+        *slot = row[index] + 0.0;
     }
 }
 
@@ -173,16 +256,39 @@ pub fn add_outer(out: &mut [f64], col: &[f64], row: &[f64]) {
     }
 }
 
+/// Rank-1 update `out += col * e_index^T` for the one-hot row `e_index`
+/// (`out` is `col.len() x cols` row-major): one column update,
+/// `out[i][index] += col[i] + 0.0`.
+///
+/// Bit-identical to [`add_outer`] with the one-hot row on finite values
+/// when `out` holds no `-0.0`: every other column would receive
+/// `col[i] * 0.0 + 0.0 = +0.0`, which leaves any value except `-0.0`
+/// unchanged.  Gradient buffers that start zeroed and only ever receive
+/// these sums never hold `-0.0`: under round-to-nearest a sum is `-0.0`
+/// only when both addends are.
+pub fn add_outer_onehot(out: &mut [f64], col: &[f64], index: usize, cols: usize) {
+    debug_assert_eq!(out.len(), col.len() * cols);
+    debug_assert!(index < cols);
+    for (row, &c) in out.chunks_exact_mut(cols).zip(col) {
+        row[index] += c + 0.0;
+    }
+}
+
 /// Outer product `out = col * row^T` (overwrites `out`).
 ///
-/// Implemented as zero-then-accumulate rather than a direct store: the
-/// reference composition computes `0.0 + c * r`, and `0.0 + (-0.0)` is
-/// `+0.0` while a direct store would keep the `-0.0` — the accumulate
-/// keeps the kernel bit-identical.
+/// The reference composition accumulates into a zeroed buffer,
+/// `0.0 + c * r`, which turns a `-0.0` product into `+0.0`.  The direct
+/// store `c * r + 0.0` does the same in one pass: `x + 0.0` is never
+/// `-0.0`, and adding a value other than `-0.0` to `+0.0` leaves it
+/// unchanged.
 pub fn set_outer(out: &mut [f64], col: &[f64], row: &[f64]) {
     debug_assert_eq!(out.len(), col.len() * row.len());
-    out.fill(0.0);
-    add_outer(out, col, row);
+    let n = row.len();
+    for (i, &c) in col.iter().enumerate() {
+        for (slot, &r) in out[i * n..(i + 1) * n].iter_mut().zip(row) {
+            *slot = c * r + 0.0;
+        }
+    }
 }
 
 #[cfg(test)]

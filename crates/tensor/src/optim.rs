@@ -138,6 +138,36 @@ impl RmsProp {
     pub fn decay(&self) -> f64 {
         self.decay
     }
+
+    /// One gradient-*ascent* step on `grad` clipped element-wise to
+    /// `[-clip, clip]`, in a single pass over the parameter.
+    ///
+    /// Bit-identical to `grad.clip_inplace(clip)`, negating every element
+    /// and then [`Optimizer::step`]: each element goes through the same
+    /// operations in the same order, and negation is exact, so fusing
+    /// only drops the two intermediate passes and the negated copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `param` and `grad` have different shapes or `clip` is
+    /// negative.
+    pub fn ascend_clipped(&mut self, param: &mut Matrix, grad: &Matrix, clip: f64) {
+        assert_eq!(param.shape(), grad.shape(), "optimizer shape mismatch");
+        assert!(clip >= 0.0, "clip limit must be non-negative");
+        let cache = self
+            .cache
+            .get_or_insert_with(|| Matrix::zeros(param.rows(), param.cols()));
+        for ((p, &raw), c) in param
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad.as_slice())
+            .zip(cache.as_mut_slice())
+        {
+            let g = -(raw.max(-clip).min(clip));
+            *c = self.decay * *c + (1.0 - self.decay) * g * g;
+            *p -= self.lr * g / (c.sqrt() + self.epsilon);
+        }
+    }
 }
 
 impl Optimizer for RmsProp {
@@ -333,6 +363,32 @@ mod tests {
         }
         for &v in p.as_slice() {
             assert!((v - 3.0).abs() < 0.05, "value {v}");
+        }
+    }
+
+    #[test]
+    fn fused_clipped_ascent_matches_clip_negate_step() {
+        // Gradients past the clip, signed zeros and a NaN, over several
+        // steps so the accumulator carries history.
+        let grads = [
+            [7.5, -0.25, 0.0, -0.0, -9.0, f64::NAN],
+            [0.5, 6.0, -0.0, 1e-3, -2.0, 3.0],
+            [-5.0, 5.0, 0.125, 0.0, 4.0, -7.0],
+        ];
+        let mut fused_param = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.0, -0.0, 0.5, 3.0]);
+        let mut plain_param = fused_param.clone();
+        let mut fused = RmsProp::new(0.05, 0.9);
+        let mut plain = RmsProp::new(0.05, 0.9);
+        for g in grads {
+            let grad = Matrix::from_vec(2, 3, g.to_vec());
+            fused.ascend_clipped(&mut fused_param, &grad, 5.0);
+            let mut negated = grad.clone();
+            negated.clip_inplace(5.0);
+            negated.map_inplace(|v| -v);
+            plain.step(&mut plain_param, &negated);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fused_param), bits(&plain_param));
+            assert_eq!(bits(fused.cache().unwrap()), bits(plain.cache().unwrap()));
         }
     }
 

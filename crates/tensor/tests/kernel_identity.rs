@@ -9,7 +9,7 @@
 //! cover the edges the blocking logic has to get right: `0xN`, `Nx0`,
 //! `1xN`, and inner dimensions around and beyond the kernel block size.
 
-use nasaic_tensor::Matrix;
+use nasaic_tensor::{kernel, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -195,4 +195,95 @@ fn zero_skip_semantics() {
         let b = random_matrix(&mut rng, p, n);
         assert_bits_equal(&matmul_with_zero_skip(&a, &b), &a.matmul(&b));
     }
+}
+
+/// The four-row matrix-vector kernels match the column-vector reference
+/// for every shape with both dimensions in `1..=70`: every row remainder
+/// of the four-row blocks (and of the four-row folds of the transposed
+/// form) and both sides of the `K_BLOCK` boundary.  Entries include
+/// `±0.0`.
+#[test]
+fn four_row_matvec_kernels_match_reference_over_all_small_shapes() {
+    let mut rng = StdRng::seed_from_u64(0x4a7e);
+    for m in 1..=70 {
+        for p in 1..=70 {
+            let a = random_matrix(&mut rng, m, p);
+            let x = random_matrix(&mut rng, p, 1);
+            let mut y = vec![f64::NAN; m];
+            kernel::matvec(a.as_slice(), x.as_slice(), &mut y, m, p);
+            assert_bits_equal(&Matrix::col_vector(&y), &a.matmul_reference(&x));
+
+            let xt = random_matrix(&mut rng, m, 1);
+            let mut yt = vec![f64::NAN; p];
+            kernel::matvec_tn(a.as_slice(), xt.as_slice(), &mut yt, m, p);
+            assert_bits_equal(
+                &Matrix::col_vector(&yt),
+                &a.transpose().matmul_reference(&xt),
+            );
+        }
+    }
+}
+
+fn one_hot(len: usize, index: usize) -> Matrix {
+    let mut e = Matrix::zeros(len, 1);
+    e[(index, 0)] = 1.0;
+    e
+}
+
+/// `W · e_a` is the column gather `W[:, a] + 0.0` — the `+ 0.0` turns a
+/// `-0.0` weight into the `+0.0` the dense product's accumulator leaves.
+#[test]
+fn one_hot_gather_matches_the_dense_product() {
+    let mut rng = StdRng::seed_from_u64(0x6a7e);
+    for rows in 1..=40 {
+        for cols in 1..=20 {
+            let mut w = random_matrix(&mut rng, rows, cols);
+            w[(0, cols - 1)] = -0.0;
+            for a in 0..cols {
+                let mut out = vec![f64::NAN; rows];
+                kernel::matvec_onehot(w.as_slice(), a, &mut out, rows, cols);
+                assert_bits_equal(
+                    &Matrix::col_vector(&out),
+                    &w.matmul_reference(&one_hot(cols, a)),
+                );
+            }
+        }
+    }
+}
+
+/// The one-column update `g[:, a] += col + 0.0` matches the rank-1
+/// `add_outer` with the one-hot row on a gradient buffer that starts
+/// zeroed and accumulates several updates (such a buffer never holds
+/// `-0.0`), and both match the reference composition.
+#[test]
+fn one_column_add_outer_matches_the_dense_rank_one_update() {
+    let mut rng = StdRng::seed_from_u64(0xadd0);
+    for rows in 1..=24 {
+        for cols in 1..=18 {
+            let mut fast = vec![0.0; rows * cols];
+            let mut dense = fast.clone();
+            let mut reference = Matrix::zeros(rows, cols);
+            for _ in 0..4 {
+                let col = random_matrix(&mut rng, rows, 1);
+                let a = rng.gen_range(0..cols);
+                let row = one_hot(cols, a).transpose();
+                kernel::add_outer_onehot(&mut fast, col.as_slice(), a, cols);
+                kernel::add_outer(&mut dense, col.as_slice(), row.as_slice());
+                reference += &col.matmul_reference(&row);
+            }
+            let fast = Matrix::from_vec(rows, cols, fast);
+            assert_bits_equal(&fast, &Matrix::from_vec(rows, cols, dense));
+            assert_bits_equal(&fast, &reference);
+        }
+    }
+    // The precondition is real: a stored `-0.0` off the updated column is
+    // left alone by the one-column update but turned into `+0.0` by the
+    // dense one.
+    let mut fast = vec![-0.0, 0.0];
+    let mut dense = fast.clone();
+    kernel::add_outer_onehot(&mut fast, &[1.5], 1, 2);
+    kernel::add_outer(&mut dense, &[1.5], &[0.0, 1.0]);
+    assert_eq!(fast[0].to_bits(), (-0.0f64).to_bits());
+    assert_eq!(dense[0].to_bits(), 0.0f64.to_bits());
+    assert_eq!(fast[1], dense[1]);
 }
